@@ -2,7 +2,8 @@
 
 :func:`get_pattern` maps an architecture to its clique schedule;
 :func:`repro.ata.executor.execute_pattern` turns a schedule into a circuit
-for an arbitrary (sub-clique) problem graph.
+for an arbitrary (sub-clique) problem graph, through the compiled-cycle
+walk of :mod:`repro.ata.simulate` that also scores candidates.
 """
 
 from .base import GATE, SWAP, Action, AtaPattern, merge_parallel, pattern_length

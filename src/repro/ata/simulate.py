@@ -1,37 +1,35 @@
-"""Metric simulation of ATA-suffix execution — the lazy-candidate core.
+"""The ATA pattern walk and the event sinks that consume it.
 
-The hybrid pipeline scores ~24 prefix+suffix candidates but keeps exactly
-one; materialising every candidate circuit (Op objects, validated
-appends, then full decompose/depth passes) dominates compile time at the
-paper's 1024-qubit scale.  This module *simulates* a suffix execution:
-it walks the same pattern cycles with the same skip/elide decisions as
-:func:`repro.ata.executor.execute_pattern` (plus the same residual
-completion), but streams ``(kind, u, v)`` events into a metric tracker
-instead of building a circuit.  The tracker reproduces the three
-selector inputs exactly:
+This module is the one executor of the paper's pattern semantics
+(Section 5.2): a CPHASE opportunity is taken only if its logical pair
+still needs one, a SWAP between two finished (or spare) occupants is
+elided, the first action in a cycle reserves its qubits, and the walk
+stops at the last needed gate.  It runs over each pattern's compiled
+``(codes, us, vs)`` cycle arrays — the swap network as data — and
+streams every emitted op into a *sink*:
 
-* **depth** — the ASAP schedule length, replicating ``Circuit.depth``;
-* **gate count** — fusion-aware CX count, replicating
-  ``count_cx(unify=True)`` (adjacent CPHASE+SWAP on a pair = 3 CX);
-* **esp** — when a noise model is present, the per-edge CX tally and
-  success-probability product of ``NoiseModel.esp``, including its
-  accumulation order (float sums are order-sensitive).
+* :class:`repro.ata.executor.CircuitSink` appends real ops, which is how
+  :func:`~repro.ata.executor.execute_pattern` and
+  :func:`~repro.compiler.prediction.ata_suffix` build circuits;
+* :class:`FastTracker` scores noise-free candidates: depth and
+  fusion-aware CX count (``Circuit.depth``, ``count_cx(unify=True)``),
+  a whole cycle per numpy batch;
+* :class:`ExactTracker` scores noisy candidates op by op, mirroring
+  ``fusion_units`` and ``NoiseModel.esp`` down to their dict insertion
+  and float accumulation orders (the selector compares esp exactly).
 
-Two trackers exist: :class:`ExactTracker` mirrors ``fusion_units`` /
-``esp`` op by op and is used whenever a noise model demands the esp
-term; :class:`FastTracker` holds the same fusion state in flat arrays
-and additionally accepts whole *disjoint* cycles as numpy batches.  For
-a cycle whose actions touch pairwise-disjoint physical qubits, every
-executor decision depends only on start-of-cycle state (distinct
-positions hold distinct logicals, so no gate can affect another's
-needed/degree reads), and depth/fusion updates commute — which is what
-makes the batch path exact, not approximate.  Non-disjoint cycles (the
-heavy-hex interleave shares an anchor qubit) always take the sequential
-path with the executor's ``used``-set semantics.
+Each cycle is decided in one vectorised step against start-of-cycle
+state.  That is exact: a mid-cycle state change comes only from an
+emitted action, which reserves its qubits, so any later action that
+could observe the change is blocked anyway.  Emitted ops of one cycle
+are pairwise disjoint, which is what lets ``FastTracker`` take them as
+one batch.  :func:`complete_residual` finishes pairs a pattern could
+not cover (possible only for heavy-hex on irregular devices), for the
+walk and for :func:`~repro.ata.executor.greedy_completion` alike.
 
-The selected candidate is materialised afterwards by re-running the real
-executor, so compiled circuits stay byte-identical; the golden fixtures
-pin that, and ``tests/ata/test_simulate.py`` pins metric equality.
+Candidate metrics therefore come from the same walk that materialises
+the selected candidate; ``tests/ata/test_simulate.py`` pins them against
+the independent ``Circuit.depth`` / ``count_cx`` / ``esp`` references.
 """
 
 from __future__ import annotations
@@ -72,8 +70,6 @@ class ExactTracker:
     first-completion order) exactly, including dict insertion orders —
     esp is a float sum, so order changes would change the score.
     """
-
-    supports_batch = False
 
     def __init__(self, n_qubits: int,
                  noise: Optional[NoiseModel] = None) -> None:
@@ -152,6 +148,12 @@ class ExactTracker:
                     self._flush(other)
             self._emit_standalone(pair, code)
 
+    def feed_batch(self, codes: np.ndarray, us: np.ndarray,
+                   vs: np.ndarray) -> None:
+        """One cycle's emitted ops, one by one in cycle-position order."""
+        for code, u, v in zip(codes.tolist(), us.tolist(), vs.tolist()):
+            self.feed2(code, u, v)
+
     def feed_op(self, op: Op) -> None:
         """An arbitrary prefix op (greedy prefixes hold CPHASE/SWAP only)."""
         qubits = op.qubits
@@ -203,8 +205,6 @@ class FastTracker:
     disjoint cycle updates in a handful of numpy operations; both totals
     are order-insensitive sums, so batching is exact.
     """
-
-    supports_batch = True
 
     def __init__(self, n_qubits: int,
                  noise: Optional[NoiseModel] = None) -> None:
@@ -352,14 +352,8 @@ def _compile_cycle(cycle) -> Tuple:
     """One cycle's ``(codes, us, vs, disjoint)`` arrays.
 
     ``disjoint`` marks cycles whose actions touch pairwise-distinct
-    qubits (every structural cycle except the heavy-hex interleaves).
-    Disjoint cycles batch without conflict resolution; for the rest the
-    simulator still vectorises the candidate tests against pre-cycle
-    state — exact because any mid-cycle state change comes from an
-    *emitted* action, which marks its positions used, so a later action
-    that could observe the change is blocked by the executor's ``used``
-    set regardless — and resolves the (few) surviving candidates with an
-    in-order sweep.
+    qubits (every structural cycle except the heavy-hex interleaves);
+    only the others need :func:`walk_region`'s first-come resolution.
     """
     n = len(cycle)
     codes = np.fromiter(
@@ -379,7 +373,7 @@ def _compile_cycle(cycle) -> Tuple:
 
 
 def compiled_cycles(pattern: AtaPattern) -> List[Tuple]:
-    """Per-cycle ``(codes, us, vs, bounds)`` arrays, cached on the pattern.
+    """Per-cycle ``(codes, us, vs, disjoint)`` arrays, cached on the pattern.
 
     Memoised on the instance — combined with the restrict memo and the
     registry pattern cache, repeated candidate scoring against the same
@@ -387,7 +381,7 @@ def compiled_cycles(pattern: AtaPattern) -> List[Tuple]:
     ``_compiled_plan`` (a ``(distinct cycles, schedule)`` pair — the
     structured schedules repeat a handful of distinct cycles) compile
     each distinct cycle once and replay the arrays by reference;
-    everything else falls back to walking ``iter_cycles``.
+    everything else falls back to walking ``cycles``.
     """
     compiled = getattr(pattern, "_compiled_cycles", None)
     if compiled is not None:
@@ -398,45 +392,59 @@ def compiled_cycles(pattern: AtaPattern) -> List[Tuple]:
         built = [_compile_cycle(cycle) for cycle in distinct]
         compiled = [built[index] for index in schedule]
     else:
-        compiled = [_compile_cycle(cycle)
-                    for cycle in pattern.iter_cycles()]
+        compiled = [_compile_cycle(cycle) for cycle in pattern.cycles()]
     pattern._compiled_cycles = compiled  # type: ignore[attr-defined]
     return compiled
 
 
-# -- suffix simulation -------------------------------------------------------
+# -- the pattern walk --------------------------------------------------------
 
 
-class _SimState:
-    """Flat mapping / pending-edge state for one suffix simulation."""
+class WalkState:
+    """Flat mapping plus the current region's pending pairs, as arrays.
 
-    def __init__(self, mapping: Mapping,
-                 remaining: Set[Tuple[int, int]]) -> None:
+    ``physical`` / ``swap_physical`` mirror :class:`Mapping`, so the
+    residual completion runs unchanged on either.
+    """
+
+    def __init__(self, mapping: Mapping) -> None:
         n_log = mapping.n_logical
-        n_phys = mapping.n_physical
-        self.n_log = n_log
-        self.p2l = np.full(n_phys, -1, dtype=np.int64)
-        self.l2p = np.full(n_log, -1, dtype=np.int64)
-        for logical, physical in enumerate(mapping.log_to_phys):
-            self.p2l[physical] = logical
-            self.l2p[logical] = physical
+        self.p2l = np.full(mapping.n_physical, -1, dtype=np.int64)
+        self.l2p = np.array(mapping.log_to_phys, dtype=np.int64)
+        self.p2l[self.l2p] = np.arange(n_log, dtype=np.int64)
         self.needed = np.zeros((n_log, n_log), dtype=bool)
         self.degree = np.zeros(n_log, dtype=np.int64)
-        for a, b in remaining:
-            self.needed[a, b] = True
-            self.needed[b, a] = True
-            self.degree[a] += 1
-            self.degree[b] += 1
+
+    def physical(self, logical: int) -> int:
+        return int(self.l2p[logical])
+
+    def swap_physical(self, u: int, v: int) -> None:
+        lu = int(self.p2l[u])
+        lv = int(self.p2l[v])
+        self.p2l[u] = lv
+        self.p2l[v] = lu
+        if lu >= 0:
+            self.l2p[lu] = v
+        if lv >= 0:
+            self.l2p[lv] = u
+
+    def to_mapping(self) -> Mapping:
+        mapping = Mapping.__new__(Mapping)
+        mapping.log_to_phys = self.l2p.tolist()
+        mapping.phys_to_log = [None if logical < 0 else logical
+                               for logical in self.p2l.tolist()]
+        return mapping
 
 
-def _simulate_region(state: _SimState, pattern: AtaPattern,
-                     edges: Set[Tuple[int, int]], tracker
-                     ) -> List[Tuple[int, int]]:
-    """Replay one region's pattern execution into the tracker.
+def walk_region(state: WalkState, pattern: AtaPattern,
+                edges: Set[Tuple[int, int]], sink) -> List[Tuple[int, int]]:
+    """Execute ``pattern`` until the canonical pairs ``edges`` are done.
 
-    Mirrors :func:`repro.ata.executor.execute_pattern` decision for
-    decision; returns the region's residual pairs in sorted order (the
-    order ``greedy_completion`` consumes them).
+    Emits every CPHASE whose logical pair is still needed and every
+    structural SWAP that moves an unfinished qubit, one cycle at a time
+    into ``sink.feed_batch`` (emitted ops in cycle-position order), and
+    stops once no pair is left.  Returns the pairs the pattern could not
+    cover, sorted — the order :func:`complete_residual` consumes them.
     """
     count = len(edges)
     if not count:
@@ -444,151 +452,113 @@ def _simulate_region(state: _SimState, pattern: AtaPattern,
     p2l = state.p2l
     needed = state.needed
     degree = state.degree
-    batch_ok = tracker.supports_batch
+    for a, b in edges:
+        needed[a, b] = True
+        needed[b, a] = True
+        degree[a] += 1
+        degree[b] += 1
 
     for codes, us, vs, disjoint in compiled_cycles(pattern):
         if not count:
             break
-        if batch_ok:
-            lu = p2l[us]
-            lv = p2l[vs]
-            real = (lu >= 0) & (lv >= 0)
-            gate_emit = real & (codes == K_CPHASE)
-            if gate_emit.any():
-                gate_emit[gate_emit] = needed[lu[gate_emit],
-                                              lv[gate_emit]]
-            swap_emit = codes == K_SWAP
-            if swap_emit.any():
-                au = (lu >= 0) & swap_emit
-                av = (lv >= 0) & swap_emit
-                active = np.zeros(len(codes), dtype=bool)
-                active[au] = degree[lu[au]] > 0
-                active[av] |= degree[lv[av]] > 0
-                swap_emit &= active
-            if not disjoint:
-                # Candidate flags above are exact against pre-cycle
-                # state; all that's left of the executor's sequential
-                # semantics is first-come qubit reservation.  Resolve it
-                # over the surviving candidates only (typically a
-                # handful for the heavy-hex interleaves).
-                cand = np.nonzero(gate_emit | swap_emit)[0]
-                if len(cand) > 1:
-                    cu = us[cand].tolist()
-                    cv = vs[cand].tolist()
-                    taken: Set[int] = set()
-                    for pos, u, v in zip(cand.tolist(), cu, cv):
-                        if u in taken or v in taken:
-                            gate_emit[pos] = False
-                            swap_emit[pos] = False
-                        else:
-                            taken.add(u)
-                            taken.add(v)
-            emit = gate_emit | swap_emit
-            if not emit.any():
-                continue
-            # Commit gates: clear needed pairs, drop degrees.
-            if gate_emit.any():
-                glu = lu[gate_emit]
-                glv = lv[gate_emit]
-                needed[glu, glv] = False
-                needed[glv, glu] = False
-                degree[glu] -= 1
-                degree[glv] -= 1
-                count -= int(np.count_nonzero(gate_emit))
-            # Commit swaps: exchange occupants.
-            if swap_emit.any():
-                su = us[swap_emit]
-                sv = vs[swap_emit]
-                slu = p2l[su].copy()
-                slv = p2l[sv].copy()
-                p2l[su] = slv
-                p2l[sv] = slu
-                moved = slu >= 0
-                state.l2p[slu[moved]] = sv[moved]
-                moved = slv >= 0
-                state.l2p[slv[moved]] = su[moved]
-            tracker.feed_batch(codes[emit], us[emit], vs[emit])
-        else:
-            used: Set[int] = set()
-            for k in range(len(codes)):
-                u = int(us[k])
-                v = int(vs[k])
-                if codes[k] == K_CPHASE:
-                    lu = int(p2l[u])
-                    lv = int(p2l[v])
-                    if lu < 0 or lv < 0:
-                        continue
-                    if (needed[lu, lv] and u not in used
-                            and v not in used):
-                        tracker.feed2(K_CPHASE, u, v)
-                        needed[lu, lv] = False
-                        needed[lv, lu] = False
-                        degree[lu] -= 1
-                        degree[lv] -= 1
-                        count -= 1
-                        used.add(u)
-                        used.add(v)
-                else:
-                    if u in used or v in used:
-                        continue
-                    lu = int(p2l[u])
-                    lv = int(p2l[v])
-                    if ((lu < 0 or degree[lu] <= 0)
-                            and (lv < 0 or degree[lv] <= 0)):
-                        continue
-                    tracker.feed2(K_SWAP, u, v)
-                    p2l[u] = lv
-                    p2l[v] = lu
-                    if lu >= 0:
-                        state.l2p[lu] = v
-                    if lv >= 0:
-                        state.l2p[lv] = u
-                    used.add(u)
-                    used.add(v)
+        lu = p2l[us]
+        lv = p2l[vs]
+        real = (lu >= 0) & (lv >= 0)
+        gate_emit = real & (codes == K_CPHASE)
+        if gate_emit.any():
+            gate_emit[gate_emit] = needed[lu[gate_emit], lv[gate_emit]]
+        swap_emit = codes == K_SWAP
+        if swap_emit.any():
+            au = (lu >= 0) & swap_emit
+            av = (lv >= 0) & swap_emit
+            active = np.zeros(len(codes), dtype=bool)
+            active[au] = degree[lu[au]] > 0
+            active[av] |= degree[lv[av]] > 0
+            swap_emit &= active
+        if not disjoint:
+            # The flags above are exact against pre-cycle state; all
+            # that is left of sequential execution is that the first
+            # action in a cycle reserves its qubits.  Resolve it over the
+            # surviving candidates only (a handful for the heavy-hex
+            # interleaves).
+            cand = np.nonzero(gate_emit | swap_emit)[0]
+            if len(cand) > 1:
+                taken: Set[int] = set()
+                for pos, u, v in zip(cand.tolist(), us[cand].tolist(),
+                                     vs[cand].tolist()):
+                    if u in taken or v in taken:
+                        gate_emit[pos] = False
+                        swap_emit[pos] = False
+                    else:
+                        taken.add(u)
+                        taken.add(v)
+        emit = gate_emit | swap_emit
+        if not emit.any():
+            continue
+        # Commit gates: clear needed pairs, drop degrees.
+        if gate_emit.any():
+            glu = lu[gate_emit]
+            glv = lv[gate_emit]
+            needed[glu, glv] = False
+            needed[glv, glu] = False
+            degree[glu] -= 1
+            degree[glv] -= 1
+            count -= int(np.count_nonzero(gate_emit))
+        # Commit swaps: exchange occupants.
+        if swap_emit.any():
+            su = us[swap_emit]
+            sv = vs[swap_emit]
+            slu = p2l[su].copy()
+            slv = p2l[sv].copy()
+            p2l[su] = slv
+            p2l[sv] = slu
+            moved = slu >= 0
+            state.l2p[slu[moved]] = sv[moved]
+            moved = slv >= 0
+            state.l2p[slv[moved]] = su[moved]
+        sink.feed_batch(codes[emit], us[emit], vs[emit])
     if not count:
         return []
-    return sorted(e for e in edges if state.needed[e[0], e[1]])
+    residual = sorted(e for e in edges if needed[e[0], e[1]])
+    for a, b in residual:  # handed to the completion, not to the next region
+        needed[a, b] = False
+        needed[b, a] = False
+        degree[a] -= 1
+        degree[b] -= 1
+    return residual
 
 
-def _simulate_completion(state: _SimState, coupling: CouplingGraph,
-                         residual: List[Tuple[int, int]], tracker) -> None:
-    """Replica of :func:`repro.ata.executor.greedy_completion`."""
-    for lu, lv in residual:
-        pu = int(state.l2p[lu])
-        pv = int(state.l2p[lv])
-        path = coupling.shortest_path(pu, pv)
+def complete_residual(coupling: CouplingGraph, mapping,
+                      residual: Iterable[Tuple[int, int]], sink) -> None:
+    """Route each residual pair with plain shortest-path SWAPs.
+
+    ``mapping`` is a :class:`Mapping` or a :class:`WalkState`; it is
+    updated in place.  Meant for the rare leftovers of the heavy-hex
+    two-pass schedule and the greedy engines' safety nets: correctness
+    matters here, not optimality.
+    """
+    for lu, lv in sorted(residual):
+        path = coupling.shortest_path(mapping.physical(lu),
+                                      mapping.physical(lv))
+        # Walk lv's occupant down the path until adjacent to lu.
         for k in range(len(path) - 1, 1, -1):
-            a, b = path[k], path[k - 1]
-            tracker.feed2(K_SWAP, a, b)
-            la = int(state.p2l[a])
-            lb = int(state.p2l[b])
-            state.p2l[a] = lb
-            state.p2l[b] = la
-            if la >= 0:
-                state.l2p[la] = b
-            if lb >= 0:
-                state.l2p[lb] = a
-        tracker.feed2(K_CPHASE, path[0], path[1])
-        state.needed[lu, lv] = False
-        state.needed[lv, lu] = False
-        state.degree[lu] -= 1
-        state.degree[lv] -= 1
+            sink.feed2(K_SWAP, path[k], path[k - 1])
+            mapping.swap_physical(path[k], path[k - 1])
+        sink.feed2(K_CPHASE, path[0], path[1])
 
 
-def simulate_suffix(
+def run_suffix(
     coupling: CouplingGraph,
     pattern: AtaPattern,
-    mapping: Mapping,
+    state: WalkState,
     remaining: Iterable[Tuple[int, int]],
-    tracker,
+    sink,
     use_range_detection: bool = True,
 ) -> None:
-    """Stream the metrics of ``ata_suffix`` into ``tracker``.
+    """Finish ``remaining`` from ``state``: the ATA suffix of Section 6.3.
 
-    The exact event sequence of
-    :func:`repro.compiler.prediction.ata_suffix` — range detection, per
-    region pattern execution, then residual completion — without
-    constructing the circuit.
+    Range detection, one :func:`walk_region` per region, then residual
+    completion — every event streamed into ``sink``.
     """
     from ..compiler.prediction import detect_ranges
 
@@ -596,15 +566,12 @@ def simulate_suffix(
     if not remaining:
         return
     if use_range_detection:
-        plan = detect_ranges(pattern, mapping, remaining)
+        plan = detect_ranges(pattern, state.to_mapping(), remaining)
     else:
-        plan = [(pattern, set(remaining))]
-
-    state = _SimState(mapping, remaining)
+        plan = [(pattern, remaining)]
     for region_pattern, edges in plan:
-        residual = _simulate_region(state, region_pattern, edges, tracker)
-        if residual:
-            _simulate_completion(state, coupling, residual, tracker)
+        residual = walk_region(state, region_pattern, edges, sink)
+        complete_residual(coupling, state, residual, sink)
 
 
 def candidate_metrics(
@@ -624,6 +591,6 @@ def candidate_metrics(
     """
     tracker = (prefix_tracker if prefix_tracker is not None
                else make_tracker(coupling.n_qubits, noise))
-    simulate_suffix(coupling, pattern, mapping, remaining, tracker,
-                    use_range_detection=use_range_detection)
+    run_suffix(coupling, pattern, WalkState(mapping), remaining, tracker,
+               use_range_detection=use_range_detection)
     return tracker.finalize()

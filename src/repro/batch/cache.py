@@ -8,8 +8,6 @@ hitting".  The sites:
   ``(kind, n_qubits, edge set)`` (:mod:`repro.arch.coupling`).
 * ``pattern`` — constructed ATA pattern objects, keyed by
   ``(kind, n_qubits, frozen metadata)`` (:mod:`repro.ata.registry`).
-* ``pattern_cycles`` — materialized cycle-list replays on cached patterns
-  (:mod:`repro.ata.base`).
 
 Caches are per-process: each pool worker warms its own copy (and, under
 the ``fork`` start method, inherits the parent's entries for free).

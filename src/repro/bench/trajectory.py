@@ -12,11 +12,6 @@ Run records are free-form dictionaries produced by the bench scripts;
 :func:`append_run` stamps each with the schema version, a monotonically
 increasing ``run_id``, a UTC timestamp, and the recording interpreter /
 platform so records from different machines are distinguishable.
-
-Legacy single-report files (the pre-trajectory format of
-``BENCH_solver.json``, a bare report object with no ``schema`` key) are
-migrated transparently: the old report becomes run 1, marked
-``"legacy": true``, and nothing is lost.
 """
 
 from __future__ import annotations
@@ -27,6 +22,8 @@ import platform
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from ..exceptions import SpecificationError
 
 SCHEMA_VERSION = 1
 
@@ -39,31 +36,23 @@ def _empty_trajectory(benchmark: str) -> Trajectory:
     return {"schema": SCHEMA_VERSION, "benchmark": benchmark, "runs": []}
 
 
-def _migrate_legacy(document: Dict[str, Any], benchmark: str) -> Trajectory:
-    """Wrap a pre-trajectory single-report file as run 1 of a trajectory."""
-    legacy: Run = {"schema": 0, "run_id": 1, "legacy": True}
-    legacy.update(document)
-    trajectory = _empty_trajectory(benchmark)
-    trajectory["runs"].append(legacy)
-    return trajectory
-
-
 def read_trajectory(path: PathLike, benchmark: str = "") -> Trajectory:
-    """Load (and, if needed, migrate) the trajectory at ``path``.
+    """Load the trajectory at ``path``.
 
-    A missing file yields an empty trajectory; a file in the legacy
-    single-report format is wrapped as its first run.  Unknown *newer*
-    schemas raise so stale tooling fails loudly instead of clobbering
-    records it does not understand.
+    A missing file yields an empty trajectory.  A document without a
+    ``schema`` key, or with an unknown *newer* schema, raises
+    :class:`SpecificationError` so stale tooling fails loudly instead of
+    clobbering records it does not understand.
     """
     path = Path(path)
     if not path.exists():
         return _empty_trajectory(benchmark)
     document = json.loads(path.read_text(encoding="utf-8"))
-    if "schema" not in document:
-        return _migrate_legacy(document, benchmark)
+    if not isinstance(document, dict) or "schema" not in document:
+        raise SpecificationError(
+            f"{path} is not a benchmark trajectory (no 'schema' key)")
     if document["schema"] > SCHEMA_VERSION:
-        raise ValueError(
+        raise SpecificationError(
             f"{path} has trajectory schema {document['schema']}; this "
             f"tool understands <= {SCHEMA_VERSION}")
     document.setdefault("benchmark", benchmark)

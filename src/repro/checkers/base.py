@@ -84,7 +84,7 @@ class CheckerRule:
     visitor: Type[RuleVisitor] = field(repr=False)
     #: Path fragments this rule is restricted to; empty means every
     #: scanned file.  The engine's ``restrict=False`` mode (fixture
-    #: tests, the determinism shim) bypasses the restriction.
+    #: tests, ``--no-restrict``) bypasses the restriction.
     hot_paths: Tuple[str, ...] = ()
 
     def applies_to(self, path: str) -> bool:

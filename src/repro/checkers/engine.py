@@ -14,8 +14,7 @@ never silently "clean".
 
 Findings are vetted inline with ``# check: ok`` (all rules) or
 ``# check: ok[CK010,CK020]`` (listed rules) on the offending line;
-CK001 additionally honours the historic ``# det: ok`` comment so the
-determinism shim's contract is unchanged.
+CK001 additionally honours the historic ``# det: ok`` comment.
 """
 
 from __future__ import annotations
@@ -101,8 +100,7 @@ def check_source(source: str, path: str,
 
     ``rules`` defaults to the full catalogue; ``restrict=True`` honours
     each rule's ``hot_paths`` restriction (``False`` — used by fixture
-    tests and the determinism shim — runs every given rule on every
-    file).
+    tests — runs every given rule on every file).
     """
     active = resolve_checkers() if rules is None else tuple(rules)
     try:

@@ -19,7 +19,8 @@ from typing import Iterable, List, Optional, Set, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..ata.base import AtaPattern
-from ..ata.executor import execute_pattern, greedy_completion
+from ..ata.executor import CircuitSink
+from ..ata.simulate import WalkState, run_suffix
 from ..ir.circuit import Circuit
 from ..ir.mapping import Mapping
 from ..problems.graphs import ProblemGraph
@@ -115,29 +116,8 @@ def ata_suffix(
     """
     if circuit is None:
         circuit = Circuit(coupling.n_qubits)
-    mapping = mapping.copy()
-    remaining = set(remaining)
-    if not remaining:
-        return circuit, mapping
-
-    if use_range_detection:
-        plan = detect_ranges(pattern, mapping, remaining)
-    else:
-        plan = [(pattern, set(remaining))]
-
-    for region_pattern, edges in plan:
-        _, region_mapping, residual = execute_pattern(
-            region_pattern, mapping, edges, gamma=gamma, circuit=circuit)
-        _absorb(mapping, region_mapping, region_pattern.region)
-        if residual:
-            greedy_completion(coupling, circuit, mapping, residual, gamma)
-    return circuit, mapping
-
-
-def _absorb(target: Mapping, source: Mapping, region) -> None:
-    """Copy region-local occupancy changes from ``source`` into ``target``."""
-    for physical in region:
-        occupant = source.phys_to_log[physical]
-        target.phys_to_log[physical] = occupant
-        if occupant is not None:
-            target.log_to_phys[occupant] = physical
+    state = WalkState(mapping)
+    run_suffix(coupling, pattern, state, remaining,
+               CircuitSink(circuit, gamma, state.p2l),
+               use_range_detection=use_range_detection)
+    return circuit, state.to_mapping()

@@ -63,8 +63,8 @@ class CompiledResult:
     @property
     def cache_stats(self) -> dict:
         """Hit/miss deltas of the process-local caches during this
-        compilation, keyed by cache name (``distance_matrix``, ``pattern``,
-        ``pattern_cycles``)."""
+        compilation, keyed by cache name (``distance_matrix``,
+        ``pattern``)."""
         return self.extra.get("cache", {})
 
     def to_record(self) -> dict:

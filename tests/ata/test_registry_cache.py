@@ -1,8 +1,10 @@
 """Tests for the process-local pattern memoization in the ATA registry."""
 
 from repro.arch import grid, heavyhex, line
+from repro.ata.base import GATE
 from repro.ata.registry import (clear_pattern_cache, get_pattern,
                                 pattern_cache_info, pattern_cache_key)
+from repro.ata.simulate import K_CPHASE, K_SWAP, compiled_cycles
 
 
 class TestPatternCache:
@@ -32,14 +34,13 @@ class TestPatternCache:
         coupling = grid(3, 3)
         cached = get_pattern(coupling)
         fresh = get_pattern(coupling, cached=False)
-        replayed = [list(c) for c in cached.iter_cycles()]
+        compiled = compiled_cycles(cached)
         generated = [list(c) for c in fresh.cycles()]
-        assert replayed == generated
-        # Replaying again serves the materialized list.
-        assert [list(c) for c in cached.iter_cycles()] == generated
-
-    def test_restricted_patterns_stay_lazy(self):
-        clear_pattern_cache()
-        pattern = get_pattern(grid(5, 5))
-        sub = pattern.restrict([6, 7, 11, 12])
-        assert not getattr(sub, "_cache_cycles_on_iter", False)
+        assert len(compiled) == len(generated)
+        for (codes, us, vs, _), cycle in zip(compiled, generated):
+            assert [(int(k), int(u), int(v))
+                    for k, u, v in zip(codes, us, vs)] == [
+                (K_CPHASE if action == GATE else K_SWAP, u, v)
+                for action, u, v in cycle]
+        # Later walks of the shared instance reuse the compiled arrays.
+        assert compiled_cycles(get_pattern(coupling)) is compiled

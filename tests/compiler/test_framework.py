@@ -131,8 +131,8 @@ class TestOptions:
 
 class TestPredictionSampling:
     def test_max_predictions_one_compiles(self):
-        # Regression: used to ZeroDivisionError in _sample whenever more
-        # than one snapshot existed (ISSUE 1 satellite).
+        # Regression: snapshot sampling used to ZeroDivisionError whenever
+        # more than one snapshot existed.
         coupling = grid(4, 4)
         problem = random_problem_graph(14, 0.35, seed=3)
         result = compile_and_check(coupling, problem, method="hybrid",
@@ -148,11 +148,11 @@ class TestPredictionSampling:
             compile_qaoa(grid(3, 3), clique(4), max_predictions=-3)
 
     def test_sample_keeps_first_snapshot(self):
-        from repro.compiler.framework import _sample
+        from repro.pipeline.prediction import sample_snapshots
         snapshots = list(range(10))
-        assert _sample(snapshots, 1) == [0]
-        assert _sample(snapshots, 3)[0] == 0
-        assert _sample(snapshots, 99) == snapshots
+        assert sample_snapshots(snapshots, 1) == [0]
+        assert sample_snapshots(snapshots, 3)[0] == 0
+        assert sample_snapshots(snapshots, 99) == snapshots
 
 
 class TestTelemetry:
