@@ -7,10 +7,10 @@ import cycles with the batch engine that reports them.
 
 Every memoization site creates a :class:`CacheCounter` and registers it
 together with ``size``/``clear`` callbacks; :func:`cache_info` then gives a
-single point-in-time view of all caches in this process, and
-:func:`cache_delta` turns two such views into the per-compilation hit/miss
-deltas that :func:`repro.compile_qaoa` stores under
-``CompiledResult.extra["cache"]``.
+single point-in-time view of all caches in this process.  Per-compilation
+hit/miss deltas — what :func:`repro.compile_qaoa` stores under
+``CompiledResult.extra["cache"]`` — come from :func:`measure_cache_delta`,
+which tallies only the events raised on the opening thread.
 """
 
 from __future__ import annotations
@@ -33,16 +33,14 @@ _scopes = _ScopeStack()
 class CacheDeltaScope:
     """Exact hit/miss attribution for one unit of work on one thread.
 
-    The historic way to measure a per-compilation cache delta was two
-    :func:`cache_info` snapshots subtracted by :func:`cache_delta`.
-    Those counters are process-global: when two requests compile
-    concurrently in the same process (thread executor, a long-lived
-    serve daemon), their windows interleave and each request's delta
-    absorbs the other's hits.  A scope instead accumulates only the
-    events raised *on the opening thread* while it is open, so
-    concurrent requests can never misattribute each other's traffic —
-    and counters inherited from a forked parent are structurally
-    excluded (a scope starts at zero, not at the inherited totals).
+    Every :class:`CacheCounter` event is also credited to each scope
+    open on the raising thread.  The process-global counters cannot
+    attribute work: when two requests compile concurrently in the same
+    process (thread executor, a long-lived serve daemon), both windows
+    see both requests' hits.  A scope sees only its own thread's
+    traffic, and counters inherited from a forked parent are excluded
+    by construction (a scope starts at zero, not at the inherited
+    totals).
     """
 
     __slots__ = ("_deltas",)
@@ -59,9 +57,8 @@ class CacheDeltaScope:
     def delta(self) -> Dict[str, Dict[str, int]]:
         """Per-cache ``{"hits", "misses"}`` observed while open.
 
-        Every registered cache is present (zeros included), matching the
-        shape :func:`cache_delta` produced so downstream schemas are
-        unchanged.
+        Every registered cache is present (zeros included), so the
+        payload shape does not depend on which caches the work touched.
         """
         out: Dict[str, Dict[str, int]] = {}
         for name in sorted(_REGISTRY):
@@ -136,19 +133,6 @@ def cache_info() -> Dict[str, Dict[str, int]]:
         info["size"] = size_fn()
         out[name] = info
     return out
-
-
-def cache_delta(before: Dict[str, Dict[str, int]],
-                after: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
-    """Hits/misses accrued between two :func:`cache_info` snapshots."""
-    delta: Dict[str, Dict[str, int]] = {}
-    for name, now in after.items():
-        then = before.get(name, {})
-        delta[name] = {
-            "hits": now["hits"] - then.get("hits", 0),
-            "misses": now["misses"] - then.get("misses", 0),
-        }
-    return delta
 
 
 def clear_caches() -> None:

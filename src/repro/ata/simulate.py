@@ -39,6 +39,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from .._deadline import check_deadline
 from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
 from ..ir.gates import CPHASE, CX, SWAP, Op, canonical_edges
@@ -461,6 +462,7 @@ def walk_region(state: WalkState, pattern: AtaPattern,
     for codes, us, vs, disjoint in compiled_cycles(pattern):
         if not count:
             break
+        check_deadline()
         lu = p2l[us]
         lv = p2l[vs]
         real = (lu >= 0) & (lv >= 0)

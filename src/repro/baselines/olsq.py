@@ -15,6 +15,7 @@ import time
 from itertools import islice
 from typing import List, Optional, Tuple
 
+from .._deadline import check_deadline
 from ..arch.coupling import CouplingGraph
 from ..compiler.result import CompiledResult
 from ..exceptions import SolverError
@@ -86,6 +87,7 @@ def _beam_search(coupling, problem, initial_mapping, gamma, beam_width,
     stall = 0
 
     while depth < max_depth and stall < 30:
+        check_deadline()
         depth += 1
         scored: List[Tuple] = []
         seen = set()

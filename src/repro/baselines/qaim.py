@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Set, Tuple
 
+from .._deadline import check_deadline
 from ..arch.coupling import CouplingGraph
 from ..compiler.mapping import degree_placement
 from ..compiler.result import CompiledResult
@@ -45,6 +46,7 @@ def compile_qaim(
     guard = 0
     guard_limit = 60 * coupling.n_qubits + 6 * len(remaining) + 100
     while remaining:
+        check_deadline()
         guard += 1
         busy: Set[int] = set()
         scheduled_any = False

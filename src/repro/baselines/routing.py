@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
+from .._deadline import check_deadline
 from ..arch.coupling import CouplingGraph
 from ..ir.circuit import Circuit
 from ..ir.gates import Op, canonical_edge
@@ -44,6 +45,7 @@ def matching_layers(problem: ProblemGraph) -> List[List[Tuple[int, int]]]:
     remaining: Set[Tuple[int, int]] = set(problem.edges)
     layers: List[List[Tuple[int, int]]] = []
     while remaining:
+        check_deadline()
         used: Set[int] = set()
         layer: List[Tuple[int, int]] = []
         for u, v in sorted(remaining):

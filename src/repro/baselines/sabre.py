@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
+from .._deadline import check_deadline
 from ..arch.coupling import CouplingGraph
 from ..compiler.mapping import degree_placement
 from ..compiler.result import CompiledResult
@@ -89,6 +90,7 @@ def compile_sabre(
     guard = 0
     guard_limit = 60 * coupling.n_qubits + 10 * len(gates) + 200
     while front:
+        check_deadline()
         guard += 1
         ready = [g for g in sorted(front) if executable(g)]
         if ready:

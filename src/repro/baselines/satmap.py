@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 
+from .._deadline import check_deadline
 from ..arch.coupling import CouplingGraph
 from ..compiler.greedy import greedy_compile
 from ..compiler.mapping import degree_placement, trivial_placement
@@ -45,6 +46,7 @@ def compile_satmap(
 
     best = None
     for placement in placements:
+        check_deadline()
         trace = greedy_compile(coupling, problem, placement, gamma=gamma,
                                record_snapshots=False, unify_swaps=True,
                                gate_selection="greedy")

@@ -21,15 +21,14 @@ daemon) never absorb each other's hits the way subtracting two global
 
 from __future__ import annotations
 
-from .._telemetry import (CacheDeltaScope, cache_delta, cache_info,
-                          clear_caches, measure_cache_delta)
+from .._telemetry import (CacheDeltaScope, cache_info, clear_caches,
+                          measure_cache_delta)
 from ..arch.coupling import clear_distance_cache, distance_cache_info
 from ..ata.registry import (clear_pattern_cache, pattern_cache_info,
                             pattern_cache_key)
 
 __all__ = [
     "cache_info",
-    "cache_delta",
     "CacheDeltaScope",
     "measure_cache_delta",
     "clear_caches",

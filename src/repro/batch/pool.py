@@ -1,18 +1,24 @@
 """A warm, persistent worker pool for long-lived serving.
 
-``compile_many`` builds a fresh ``ProcessPoolExecutor`` per call, which
-is the right shape for one-shot sweeps but exactly wrong for a daemon:
-every call pays pool spin-up, and the process-local memo caches
-(distance matrices in :mod:`repro.arch.coupling`, ATA patterns in
-:mod:`repro.ata.registry`) die with the workers.  A
-:class:`PersistentPool` is created once and kept hot: workers survive
-across requests, so their caches keep amortizing, and a broken pool
-(worker OOM/segfault/injected kill) is rebuilt in place without losing
-the daemon.
+A pool built per call is the right shape for one-shot sweeps but
+exactly wrong for a daemon: every call pays pool spin-up, and the
+process-local memo caches (distance matrices in
+:mod:`repro.arch.coupling`, ATA patterns in :mod:`repro.ata.registry`)
+die with the workers.  A :class:`PersistentPool` is created once and
+kept hot: workers survive across requests, so their caches keep
+amortizing, and a broken pool (worker OOM/segfault/injected kill) is
+rebuilt in place without losing the daemon.
 
 Jobs run through the same :func:`~repro.batch.engine.execute_job` entry
-point as the batch engine — per-job SIGALRM deadlines, retry policies
-and structured failure capture all behave identically.
+point on every executor — per-job cooperative deadlines
+(:mod:`repro._deadline`), retry policies and structured failure capture
+all behave identically.  ``compile_many`` runs its pooled sweeps on this
+class too.
+
+Process workers add a hard backstop: a job still running
+:data:`BACKSTOP_GRACE_S` past its deadline is stuck outside the checked
+loops, so its worker exits, breaking the pool like any worker death; the
+caller's restart path takes over.  The kill timer lives only in workers.
 """
 
 from __future__ import annotations
@@ -29,12 +35,44 @@ from ..resilience.retry import RetryPolicy
 from .engine import execute_job
 from .jobs import BatchJob, JobResult
 
+#: Seconds a process worker may run past its job's deadline before the
+#: backstop kills it.  The longest stretch between two deadline checks
+#: measured on 400-qubit hybrid compiles is about 2 s (distance-matrix
+#: construction before the placement search), so only a job stuck
+#: outside the checked loops ever reaches this.
+BACKSTOP_GRACE_S = 30.0
+
+#: Exit status of a worker killed by the backstop.
+BACKSTOP_EXIT_CODE = 124
+
 #: Executors a persistent pool supports.  ``"serial"`` is deliberately
 #: absent: a daemon must never compile on its event-loop thread, so the
 #: closest equivalent is ``"thread"`` with one worker.
 POOL_EXECUTORS = ("process", "thread")
 
 __all__ = ["POOL_EXECUTORS", "PersistentPool"]
+
+
+def _execute_with_backstop(job: BatchJob, timeout_s: Optional[float],
+                           retry: Optional[RetryPolicy]) -> JobResult:
+    """Process-worker entry: :func:`execute_job` under a kill timer.
+
+    The timer allows every attempt its full budget plus the retry
+    backoffs in between, then :data:`BACKSTOP_GRACE_S`.
+    """
+    if not timeout_s:
+        return execute_job(job, timeout_s, retry)
+    attempts = retry.max_attempts if retry is not None else 1
+    budget = attempts * timeout_s + BACKSTOP_GRACE_S
+    if retry is not None:
+        budget += sum(retry.delay_s(n, job.name) for n in range(1, attempts))
+    timer = threading.Timer(budget, os._exit, (BACKSTOP_EXIT_CODE,))
+    timer.daemon = True
+    timer.start()
+    try:
+        return execute_job(job, timeout_s, retry)
+    finally:
+        timer.cancel()
 
 
 def default_pool_workers() -> int:
@@ -96,8 +134,9 @@ class PersistentPool:
                     "pool is closed; build a new PersistentPool")
             self.submitted += 1
             count_event("batch.pool_submitted")
-            return self._pool.submit(execute_job, job, self.timeout_s,
-                                     self.retry)
+            entry = (_execute_with_backstop if self.executor == "process"
+                     else execute_job)
+            return self._pool.submit(entry, job, self.timeout_s, self.retry)
 
     def restart(self) -> None:
         """Replace a broken executor with a fresh, cold one.

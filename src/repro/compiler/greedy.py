@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from .._deadline import check_deadline
 from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
 from ..exceptions import CompilationError
@@ -113,6 +114,7 @@ def greedy_compile(
 
             greedy_completion(coupling, circuit, mapping, remaining, gamma)
             break
+        check_deadline()
         cycle += 1
 
         executable = fast.executable()

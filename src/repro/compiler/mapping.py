@@ -6,9 +6,14 @@ import random
 from collections import deque
 from typing import Optional
 
+from .._deadline import check_deadline
 from ..arch.coupling import CouplingGraph
 from ..ir.mapping import Mapping
 from ..problems.graphs import ProblemGraph
+
+#: Hill-climb moves between two deadline checks in
+#: :func:`quadratic_placement` (one move costs a few microseconds).
+DEADLINE_CHECK_MOVES = 256
 
 
 def trivial_placement(coupling: CouplingGraph,
@@ -130,7 +135,9 @@ def quadratic_placement(
         row = dist[position]
         return sum(row[log_to_phys[w]] for w in adjacency[v])
 
-    for _ in range(iterations):
+    for move in range(iterations):
+        if not move % DEADLINE_CHECK_MOVES:
+            check_deadline()
         a = rng.randrange(n)
         pa = mapping.physical(a)
         pb = rng.choice(coupling.neighbors(pa))

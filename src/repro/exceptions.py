@@ -113,13 +113,10 @@ class SolverExhaustedError(SolverError, ResourceExhaustedError):
 class JobTimeoutError(TransientError):
     """A batch job exceeded its per-job wall-clock budget.
 
-    Raised inside a worker by the ``SIGALRM`` deadline of
-    :mod:`repro.batch.engine`.  Transient by classification, but the
-    default retry policy does *not* re-attempt timeouts — a
-    deterministic compilation that blew its budget once will blow it
-    again (opt in with ``RetryPolicy(retry_timeouts=True)``).
+    Raised by :func:`repro._deadline.check_deadline` at the first check
+    site a job reaches after its cooperative deadline (opened per
+    attempt by :mod:`repro.batch.engine`) has passed.  Transient by
+    classification, but the default retry policy does *not* re-attempt
+    timeouts — a deterministic compilation that blew its budget once
+    will blow it again (opt in with ``RetryPolicy(retry_timeouts=True)``).
     """
-
-
-#: Historic name from ``repro.batch.engine``; kept for back-compat.
-JobTimeout = JobTimeoutError

@@ -29,6 +29,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Iterable, List, Optional
 
+from .._deadline import check_deadline
 from .._telemetry import measure_cache_delta
 from ..compiler.result import CompiledResult
 from ..resilience.faults import fault_point
@@ -93,6 +94,7 @@ class Pipeline:
         records = context.extras.setdefault("passes", [])
         timings = context.extras.setdefault("timings", {})
         for pass_ in self.passes:
+            check_deadline()
             fault_point("pipeline.pass", pass_.name)
             started = time.perf_counter()
             with measure_cache_delta() as scope:

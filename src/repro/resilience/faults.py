@@ -31,8 +31,9 @@ an ``action``:
   :data:`ERROR_CLASSES`; default a :class:`~repro.exceptions.TransientError`);
 * ``"timeout"`` — raise :class:`~repro.exceptions.JobTimeoutError`,
   simulating a per-job deadline expiry without waiting for one;
-* ``"sleep"`` — block for ``seconds`` (drives *real* ``SIGALRM``
-  deadlines past their budget);
+* ``"sleep"`` — block for ``seconds`` without polling the deadline:
+  the job's next deadline check raises ``JobTimeoutError``, and a sleep
+  past the process-worker backstop's grace kills the worker;
 * ``"kill"`` — ``os._exit(exit_code)``: the process dies mid-job with no
   cleanup, exactly like an OOM kill.  In a pool worker this surfaces as
   ``BrokenProcessPool`` in the parent; in a serial run the whole sweep

@@ -57,6 +57,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .._deadline import check_deadline
 from .._telemetry import count_event
 from ..arch.coupling import CouplingGraph
 from ..exceptions import (SolverError, SolverExhaustedError,
@@ -495,6 +496,7 @@ def _search_astar(
         if not rem:
             return _unwind(key, parents)
         stats.nodes_expanded += 1
+        check_deadline()
         if stats.nodes_expanded > max_nodes:
             raise SolverExhaustedError(
                 f"A* exceeded its node budget of {max_nodes}; "
@@ -538,6 +540,7 @@ def _search_idastar(
     def descend(occ: Occupancy, rem: int, g: int, bound: int) -> float:
         """Return 0 when solved within ``bound``, else the next bound."""
         stats.nodes_expanded += 1
+        check_deadline()
         if stats.nodes_expanded > max_nodes:
             raise SolverExhaustedError(
                 f"IDA* exceeded its node budget of {max_nodes}; "

@@ -8,10 +8,11 @@ gate through the semantic validator.
 import pytest
 
 from repro.arch import grid, heavyhex, hexagon, line, mumbai, sycamore
-from repro.ata import compile_with_pattern, get_pattern
+from repro.ata import execute_pattern, get_pattern
+from repro.compiler.mapping import degree_placement
 from repro.ir.mapping import Mapping
 from repro.ir.validate import validate_compiled
-from repro.problems import clique
+from repro.problems import clique, random_problem_graph
 
 
 def compile_clique(coupling):
@@ -19,8 +20,11 @@ def compile_clique(coupling):
     problem = clique(n)
     mapping = Mapping.trivial(n, coupling.n_qubits)
     pattern = get_pattern(coupling)
-    circuit, _ = compile_with_pattern(coupling, pattern, problem.edges,
-                                      mapping)
+    # The pattern alone must cover the clique: no residual pair is left
+    # for the shortest-path completion.
+    circuit, _, residual = execute_pattern(pattern, mapping, problem.edges,
+                                           n_physical=coupling.n_qubits)
+    assert residual == set()
     report = validate_compiled(circuit, coupling.edges, mapping,
                                problem.edges)
     assert report.n_edges == problem.n_edges
@@ -84,6 +88,17 @@ class TestHeavyHexClique:
 
     def test_mumbai_device(self):
         compile_clique(mumbai())
+
+    @pytest.mark.parametrize("density", [0.3, 0.6])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_mumbai_sparse_problem_leaves_no_residual(self, density, seed):
+        # The irregular device was once believed to leave residual pairs.
+        coupling = mumbai()
+        problem = random_problem_graph(coupling.n_qubits, density, seed=seed)
+        mapping = degree_placement(coupling, problem)
+        _, _, residual = execute_pattern(get_pattern(coupling), mapping,
+                                         problem.edges)
+        assert residual == set()
 
 
 class TestDepthScalesLinearly:

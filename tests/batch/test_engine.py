@@ -2,13 +2,18 @@
 
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.batch import (BatchJob, compile_many, default_workers,
-                         execute_job, jobs_for)
+from repro.batch import (BatchJob, PersistentPool, compile_many,
+                         default_workers, execute_job, jobs_for)
 from repro.batch.cache import clear_caches
+from repro.batch import pool as pool_module
+from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
+from repro.resilience.faults import active_plan
 
 
 def mixed_jobs(n_qubits=12, seeds=(0, 1)):
@@ -101,10 +106,35 @@ class TestProcessPool:
         assert serial_s / parallel_s >= 2.0
 
 
+def overrunning_job(seed=0):
+    """A hybrid compile that runs for seconds: far past a 0.2 s budget."""
+    return BatchJob(arch="heavyhex", n_qubits=200, density=0.3, seed=seed)
+
+
+def run_on_path(path, jobs, timeout_s):
+    """Run ``jobs`` through one of the engine's execution paths."""
+    if path == "serial-main":
+        return [execute_job(job, timeout_s=timeout_s) for job in jobs]
+    if path == "serial-thread":
+        out = []
+        worker = threading.Thread(target=lambda: out.extend(
+            execute_job(job, timeout_s=timeout_s) for job in jobs))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return out
+    kind, executor = path.split("-")
+    if kind == "many":
+        return compile_many(jobs, workers=2, timeout_s=timeout_s,
+                            executor=executor).results
+    with PersistentPool(workers=2, executor=executor,
+                        timeout_s=timeout_s) as pool:
+        futures = [pool.submit(job) for job in jobs]
+        return [future.result() for future in futures]
+
+
 class TestTimeout:
     def test_timeout_surfaces_as_job_failure(self):
-        if not hasattr(__import__("signal"), "SIGALRM"):
-            pytest.skip("needs SIGALRM")
         # A 48-qubit hybrid compile takes far longer than 1 ms.
         job = BatchJob(arch="heavyhex", n_qubits=48, density=0.5)
         result = execute_job(job, timeout_s=0.001)
@@ -116,54 +146,61 @@ class TestTimeout:
         result = execute_job(job, timeout_s=60.0)
         assert result.ok
 
-    def test_unenforceable_timeout_warns_once_and_counts(self, monkeypatch):
-        from repro._telemetry import clear_events, event_info
-        from repro.batch import engine
+    @pytest.mark.parametrize("path", [
+        "serial-main", "serial-thread", "many-thread", "many-process",
+        "pool-thread", "pool-process"])
+    def test_deadline_stops_the_job_on_every_path(self, path):
+        results = run_on_path(path, [overrunning_job(0), overrunning_job(1)],
+                              timeout_s=0.2)
+        assert [r.error_type for r in results] == ["JobTimeoutError"] * 2
+        assert all(r.wall_time_s < 1.0 for r in results)
 
-        monkeypatch.setattr(engine, "_alarm_supported", lambda: False)
-        monkeypatch.setattr(engine, "_timeout_warning_emitted", False)
-        clear_events()
-        jobs = [BatchJob(arch="line", n_qubits=4, seed=seed)
-                for seed in (0, 1)]
-        with pytest.warns(RuntimeWarning, match="SIGALRM"):
-            report = compile_many(jobs, timeout_s=5.0, executor="serial")
-        assert not report.failures
-        assert not report.timeout_enforced
-        assert "NOT enforced" in report.summary()
-        # One telemetry event per unprotected job, one warning total.
-        assert event_info().get("batch.timeout_unavailable") == 2
-        import warnings
+    def test_each_retry_attempt_gets_the_full_budget(self):
+        # A sleep fault overruns the first attempt only; the retry opens
+        # a fresh budget and completes.
+        plan = FaultPlan([FaultSpec(site="batch.job", action="sleep",
+                                    seconds=0.3)])
+        policy = RetryPolicy(max_attempts=2, base_delay_s=0.0,
+                             retry_timeouts=True)
+        with active_plan(plan):
+            result = execute_job(BatchJob(arch="line", n_qubits=6),
+                                 timeout_s=0.2, retry=policy)
+        assert result.ok
+        assert result.attempts[0]["error_type"] == "JobTimeoutError"
 
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            compile_many(jobs[:1], timeout_s=5.0, executor="serial")
-        assert not [w for w in captured
-                    if issubclass(w.category, RuntimeWarning)]
-
-    def test_reset_timeout_warning_rearms_the_warning(self, monkeypatch):
-        import warnings
-
-        from repro.batch import engine, reset_timeout_warning
-
-        monkeypatch.setattr(engine, "_alarm_supported", lambda: False)
-        job = BatchJob(arch="line", n_qubits=4)
-        with pytest.warns(RuntimeWarning, match="SIGALRM"):
-            reset_timeout_warning()
-            compile_many([job], timeout_s=5.0, executor="serial")
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            compile_many([job], timeout_s=5.0, executor="serial")
-        assert not [w for w in captured
-                    if issubclass(w.category, RuntimeWarning)]
-        reset_timeout_warning()
-        with pytest.warns(RuntimeWarning, match="SIGALRM"):
-            compile_many([job], timeout_s=5.0, executor="serial")
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="needs fork-based process pools")
+    def test_backstop_kills_a_worker_stuck_past_its_deadline(
+            self, monkeypatch):
+        # Forked workers inherit the shortened grace.
+        monkeypatch.setattr(pool_module, "BACKSTOP_GRACE_S", 0.5)
+        jobs = [BatchJob(arch="line", n_qubits=6, seed=seed)
+                for seed in range(3)]
+        stuck = jobs[1].name
+        # The sleep reaches no deadline check before the backstop fires;
+        # it refires in each fresh worker, so the stuck job converges to
+        # a failure while its peers complete.
+        sleep_s = 10.0
+        plan = FaultPlan([FaultSpec(site="batch.job", action="sleep",
+                                    match=stuck, times=99,
+                                    seconds=sleep_s)])
+        start = time.perf_counter()
+        with active_plan(plan):
+            report = compile_many(jobs, workers=2, timeout_s=0.1,
+                                  max_pool_restarts=1)
+        assert [r.ok for r in report.results] == [True, False, True]
+        assert report.results[1].error_type == "BrokenProcessPool"
+        assert report.pool_restarts == 1
+        # Both rounds were cut short by the backstop, not by the sleep.
+        assert time.perf_counter() - start < sleep_s
 
     def test_enforced_timeout_emits_no_degradation_note(self):
         job = BatchJob(arch="line", n_qubits=4)
-        report = compile_many([job], timeout_s=60.0, executor="serial")
-        if report.timeout_enforced:
+        for executor in ("serial", "thread"):
+            report = compile_many([job, job], workers=2, timeout_s=60.0,
+                                  executor=executor)
             assert "NOT enforced" not in report.summary()
+            assert "timeout_enforced" not in report.to_json()
 
 
 class TestHelpers:
